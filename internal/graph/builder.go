@@ -40,7 +40,7 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 	if u < 0 || v < 0 {
 		return fmt.Errorf("graph: negative node id in edge (%d,%d)", u, v)
 	}
-	if !(w > 0) || math.IsInf(w, 1) {
+	if !ValidWeight(w) {
 		return fmt.Errorf("graph: weight %g on edge (%d,%d) is not a positive finite number", w, u, v)
 	}
 	if b.fixed {

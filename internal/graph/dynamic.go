@@ -108,8 +108,8 @@ func (g *DynamicGraph) AddEdge(u, v NodeID, w float64) error {
 	if u == v || u < 0 || v < 0 || u >= n || v >= n {
 		return fmt.Errorf("graph: invalid edge (%d,%d)", u, v)
 	}
-	if w <= 0 {
-		return fmt.Errorf("graph: non-positive weight %g", w)
+	if !ValidWeight(w) {
+		return fmt.Errorf("graph: weight %g is not a positive finite number", w)
 	}
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: edge (%d,%d) already exists", u, v)

@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -171,37 +172,53 @@ func (g *MemGraph) buildTopDegrees() {
 	g.top = TopDegreeIndex(g.degrees)
 }
 
+// ValidWeight reports whether w is usable as an edge weight: positive and
+// finite. NaN fails the comparison, so it is rejected too. Builder (and the
+// edge-list reader through it), DynamicGraph, Validate and the live graph's
+// mutation batches all check this one predicate.
+func ValidWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
+// DegreeBefore reports whether a precedes b in the canonical degree order:
+// degree descending, node ascending. Node IDs break every tie, so the order
+// is total and each (degree, node) key has exactly one position.
+func DegreeBefore(a, b DegreeEntry) bool {
+	if a.Degree != b.Degree {
+		return a.Degree > b.Degree
+	}
+	return a.Node < b.Node
+}
+
+// DegreeOrder returns every node in the canonical degree order. It is
+// O(n log n); the live graph builds it once and then keeps it current
+// incrementally.
+func DegreeOrder(degrees []float64) []DegreeEntry {
+	entries := make([]DegreeEntry, len(degrees))
+	for v, d := range degrees {
+		entries[v] = DegreeEntry{Node: NodeID(v), Degree: d}
+	}
+	sort.Slice(entries, func(i, j int) bool { return DegreeBefore(entries[i], entries[j]) })
+	return entries
+}
+
 // TopDegreeIndex computes the canonical pre-sorted degree prefix every graph
-// implementation in this module serves TopDegrees from: all nodes ordered by
-// (degree descending, node ascending), truncated to the standard cache
-// length. Sharing one implementation is what keeps TopDegrees — and with it
-// the RWR w(S̄) guard and every downstream query result — byte-identical
-// across MemGraph, DynamicGraph, and live-graph snapshots built over the
-// same degree vector.
+// implementation in this module serves TopDegrees from: DegreeOrder truncated
+// to the standard cache length. MemGraph runs it once at construction and
+// DynamicGraph after each mutation; live-graph snapshots serve the same
+// prefix from an order their writer keeps current, and tests compare it
+// against this function. Sharing one definition is what keeps TopDegrees —
+// and with it the RWR w(S̄) guard and every downstream query result —
+// byte-identical across all of them for the same degree vector.
 func TopDegreeIndex(degrees []float64) []DegreeEntry {
-	n := len(degrees)
 	k := topDegreeCache
-	if k > n {
-		k = n
+	if k > len(degrees) {
+		k = len(degrees)
 	}
-	// Partial selection: collect all entries, sort, keep prefix. n is at most
-	// tens of millions and this runs once at construction.
-	entries := make([]DegreeEntry, n)
-	for v := 0; v < n; v++ {
-		entries[v] = DegreeEntry{Node: NodeID(v), Degree: degrees[v]}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Degree != entries[j].Degree {
-			return entries[i].Degree > entries[j].Degree
-		}
-		return entries[i].Node < entries[j].Node
-	})
-	return append([]DegreeEntry(nil), entries[:k]...)
+	return append([]DegreeEntry(nil), DegreeOrder(degrees)[:k]...)
 }
 
 // Validate checks structural invariants: sorted offsets, in-range targets,
-// positive weights, symmetric adjacency, no self loops. It is O(m log m) and
-// intended for tests and data loading, not hot paths.
+// positive finite weights, symmetric adjacency, no self loops. It is
+// O(m log m) and intended for tests and data loading, not hot paths.
 func (g *MemGraph) Validate() error {
 	n := g.NumNodes()
 	if len(g.offsets) == 0 || g.offsets[0] != 0 {
@@ -230,8 +247,8 @@ func (g *MemGraph) Validate() error {
 			if u == NodeID(v) {
 				return fmt.Errorf("graph: self loop at node %d", v)
 			}
-			if ws[i] <= 0 {
-				return fmt.Errorf("graph: non-positive weight %g on edge (%d,%d)", ws[i], v, u)
+			if !ValidWeight(ws[i]) {
+				return fmt.Errorf("graph: weight %g on edge (%d,%d) is not a positive finite number", ws[i], v, u)
 			}
 			sum += ws[i]
 			halves = append(halves, half{NodeID(v), u, ws[i]})

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -418,5 +419,47 @@ func TestPropertySymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestValidWeightSharedByEntryPoints(t *testing.T) {
+	for _, w := range []float64{1, 0.001, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		if !ValidWeight(w) {
+			t.Errorf("ValidWeight(%g) = false, want true", w)
+		}
+	}
+	for _, w := range []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if ValidWeight(w) {
+			t.Errorf("ValidWeight(%g) = true, want false", w)
+		}
+		if err := NewBuilder(2).AddEdge(0, 1, w); err == nil {
+			t.Errorf("Builder.AddEdge accepted weight %g", w)
+		}
+		if err := NewDynamicGraph(MustFromEdges(3, 0, 1)).AddEdge(1, 2, w); err == nil {
+			t.Errorf("DynamicGraph.AddEdge accepted weight %g", w)
+		}
+	}
+}
+
+func TestDegreeOrderPrefixIsTopDegreeIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	degs := make([]float64, 5000)
+	for v := range degs {
+		degs[v] = float64(rng.Intn(4)) // heavy ties: node IDs decide
+	}
+	full := DegreeOrder(degs)
+	for i := 1; i < len(full); i++ {
+		if !DegreeBefore(full[i-1], full[i]) {
+			t.Fatalf("entries %d, %d out of order: %+v, %+v", i-1, i, full[i-1], full[i])
+		}
+	}
+	top := TopDegreeIndex(degs)
+	if len(top) != topDegreeCache {
+		t.Fatalf("prefix length %d, want %d", len(top), topDegreeCache)
+	}
+	for i, e := range top {
+		if e != full[i] {
+			t.Fatalf("prefix entry %d is %+v, full order has %+v", i, e, full[i])
+		}
 	}
 }

@@ -16,12 +16,16 @@
 // RWMutex-protected pointer load at pin time.
 //
 // This is the serving-side realization of the paper's pitch that FLoS,
-// needing no precomputed index, "naturally supports dynamic graphs": a
-// mutation batch costs O(touched rows + n pointer copies), not a rebuild.
+// needing no precomputed index, "naturally supports dynamic graphs". The one
+// global structure FLoS reads, the degree order behind the RWR w(S̄) guard,
+// is kept current by the writer: a mutation batch costs O(touched rows + n
+// pointer copies) for the rows plus O(|touched|·log n + displacement) for the
+// order, and readers never sort or rebuild anything.
 package livegraph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -89,8 +93,9 @@ type Snapshot struct {
 	wts  [][]float64
 	degs []float64
 
-	topOnce sync.Once
-	top     []graph.DegreeEntry
+	// top is the TopDegrees prefix, equal to graph.TopDegreeIndex(degs). The
+	// writer publishes it with the snapshot; it is never written afterwards.
+	top []graph.DegreeEntry
 
 	// refs counts the LiveGraph's "current" reference plus one per pinned
 	// reader. Hitting zero only updates the alive gauge; memory reclamation
@@ -122,12 +127,11 @@ func (s *Snapshot) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 // Degree returns the weighted degree of v.
 func (s *Snapshot) Degree(v graph.NodeID) float64 { return s.degs[v] }
 
-// TopDegrees returns up to k largest-degree nodes, non-increasing. The index
-// is built lazily on first use (most snapshots are short-lived and most
-// measures never call TopDegrees) via the same TopDegreeIndex helper MemGraph
-// uses, keeping the RWR w(S̄) guard byte-identical to a frozen rebuild.
+// TopDegrees returns up to k largest-degree nodes, non-increasing. The prefix
+// was published with the snapshot by the writer (see LiveGraph.order) and is
+// bit-identical to graph.TopDegreeIndex over the snapshot's degrees, so the
+// RWR w(S̄) guard matches a frozen rebuild. It costs readers no allocation.
 func (s *Snapshot) TopDegrees(k int) []graph.DegreeEntry {
-	s.topOnce.Do(func() { s.top = graph.TopDegreeIndex(s.degs) })
 	if k > len(s.top) {
 		k = len(s.top)
 	}
@@ -184,6 +188,12 @@ type LiveGraph struct {
 	// readers are never blocked behind a batch.
 	wmu sync.Mutex
 
+	// order holds every node in canonical degree order (graph.DegreeBefore)
+	// over the current snapshot's degrees; guarded by wmu. It is built on the
+	// first successful Apply, not in New, so going live costs no sort; each
+	// batch then moves only its touched nodes.
+	order []graph.DegreeEntry
+
 	alive    atomic.Int64 // snapshots with refs > 0
 	created  atomic.Int64 // snapshots ever published (incl. base)
 	rowsCoWd atomic.Int64 // adjacency rows re-materialized across all batches
@@ -198,7 +208,8 @@ var (
 )
 
 // New wraps base in a LiveGraph. The base snapshot (epoch 1) aliases the
-// MemGraph's CSR rows; the base must not be modified afterwards.
+// MemGraph's CSR rows and degree prefix; the base must not be modified
+// afterwards.
 func New(base *graph.MemGraph) *LiveGraph {
 	n := base.NumNodes()
 	s := &Snapshot{
@@ -207,6 +218,7 @@ func New(base *graph.MemGraph) *LiveGraph {
 		nbrs:   make([][]graph.NodeID, n),
 		wts:    make([][]float64, n),
 		degs:   make([]float64, n),
+		top:    base.TopDegrees(n),
 	}
 	for v := 0; v < n; v++ {
 		s.nbrs[v], s.wts[v] = base.Neighbors(graph.NodeID(v))
@@ -302,7 +314,9 @@ func (lg *LiveGraph) Stats() Stats {
 // snapshot. Either every op applies (the new snapshot becomes current and
 // its epoch, with the sorted list of nodes whose adjacency changed, is
 // returned) or none do: the first invalid op aborts the whole batch with
-// nothing published. An empty batch returns the current snapshot unchanged.
+// nothing published. Weights must satisfy graph.ValidWeight, and no node's
+// recomputed degree may overflow to +Inf. An empty batch returns the current
+// snapshot unchanged.
 //
 // The returned snapshot is NOT pinned for the caller; it is alive because it
 // is current. The touched list is what cache invalidation intersects against
@@ -372,8 +386,8 @@ func (lg *LiveGraph) Apply(ops []EdgeOp) (*Snapshot, []graph.NodeID, error) {
 		}
 		switch op.Op {
 		case OpAdd, OpSet:
-			if op.W <= 0 {
-				return nil, nil, fmt.Errorf("livegraph: op %d: non-positive weight %g", i, op.W)
+			if !graph.ValidWeight(op.W) {
+				return nil, nil, fmt.Errorf("livegraph: op %d: weight %g is not a positive finite number", i, op.W)
 			}
 			_, exists := find(u, v)
 			if exists {
@@ -416,8 +430,12 @@ func (lg *LiveGraph) Apply(ops []EdgeOp) (*Snapshot, []graph.NodeID, error) {
 		for _, w := range next.wts[v] {
 			sum += w
 		}
+		if math.IsInf(sum, 1) {
+			return nil, nil, fmt.Errorf("livegraph: weighted degree of node %d overflows", v)
+		}
 		next.degs[v] = sum
 	}
+	next.top = lg.reorder(parent, next, touched)
 
 	next.refs.Store(1) // the LiveGraph's "current" reference
 	lg.mu.Lock()
@@ -431,4 +449,52 @@ func (lg *LiveGraph) Apply(ops []EdgeOp) (*Snapshot, []graph.NodeID, error) {
 	parent.Release() // drop the chain's reference; pinned readers keep it alive
 
 	return next, touched, nil
+}
+
+// reorder moves each touched node from its key in parent to its key in next
+// within lg.order and returns next's TopDegrees prefix. Keys are unique, so a
+// binary search on the old (degree, node) key finds the node, and one copy
+// shifts the entries between its old and new positions: O(|touched|·log n +
+// displacement) instead of a full sort. The parent's prefix is shared when
+// no move reached into it; otherwise it is copied, because lg.order keeps
+// changing under later batches while published prefixes must not. Callers
+// hold wmu.
+func (lg *LiveGraph) reorder(parent, next *Snapshot, touched []graph.NodeID) []graph.DegreeEntry {
+	if lg.order == nil {
+		lg.order = graph.DegreeOrder(parent.degs)
+	}
+	order := lg.order
+	k := len(parent.top)
+	moved := false
+	for _, v := range touched {
+		from := graph.DegreeEntry{Node: v, Degree: parent.degs[v]}
+		to := graph.DegreeEntry{Node: v, Degree: next.degs[v]}
+		if to == from {
+			continue
+		}
+		i := searchDegree(order, from)
+		if i == len(order) || order[i] != from {
+			panic(fmt.Sprintf("livegraph: degree order lost node %d", v))
+		}
+		var j int
+		if graph.DegreeBefore(to, from) {
+			j = searchDegree(order[:i], to)
+			copy(order[j+1:i+1], order[j:i])
+		} else {
+			j = i + searchDegree(order[i+1:], to)
+			copy(order[i:j], order[i+1:j+1])
+		}
+		order[j] = to
+		moved = moved || i < k || j < k
+	}
+	if !moved {
+		return parent.top
+	}
+	return append([]graph.DegreeEntry(nil), order[:k]...)
+}
+
+// searchDegree returns the index of the first entry in s that does not
+// precede e in the canonical degree order.
+func searchDegree(s []graph.DegreeEntry, e graph.DegreeEntry) int {
+	return sort.Search(len(s), func(i int) bool { return !graph.DegreeBefore(s[i], e) })
 }

@@ -1,9 +1,13 @@
 package livegraph
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
+	"flos/internal/gen"
 	"flos/internal/graph"
 )
 
@@ -324,5 +328,254 @@ func TestConcurrentPinnedReadsUnderWrites(t *testing.T) {
 
 	if lg.Stats().SnapshotsAlive != 1 {
 		t.Fatalf("alive = %d after all releases, want 1", lg.Stats().SnapshotsAlive)
+	}
+}
+
+func TestApplyRejectsNonFiniteWeights(t *testing.T) {
+	cases := []struct {
+		name string
+		ops  []EdgeOp
+	}{
+		{"add NaN", []EdgeOp{{Op: OpAdd, U: 1, V: 5, W: math.NaN()}}},
+		{"set NaN", []EdgeOp{{Op: OpSet, U: 0, V: 1, W: math.NaN()}}},
+		{"add +Inf", []EdgeOp{{Op: OpAdd, U: 1, V: 5, W: math.Inf(1)}}},
+		{"set +Inf", []EdgeOp{{Op: OpSet, U: 0, V: 1, W: math.Inf(1)}}},
+		{"add zero", []EdgeOp{{Op: OpAdd, U: 1, V: 5, W: 0}}},
+		{"set negative", []EdgeOp{{Op: OpSet, U: 0, V: 1, W: -1}}},
+		// Each weight is finite, but node 0's degree sum overflows.
+		{"degree overflow", []EdgeOp{
+			{Op: OpSet, U: 0, V: 1, W: math.MaxFloat64},
+			{Op: OpSet, U: 0, V: 7, W: math.MaxFloat64},
+		}},
+	}
+	lg := New(baseGraph(t))
+	before := lg.Stats()
+	for _, c := range cases {
+		// A valid op ahead of the bad one must not leak through either.
+		ops := append([]EdgeOp{{Op: OpAdd, U: 2, V: 6, W: 1}}, c.ops...)
+		if _, _, err := lg.Apply(ops); err == nil {
+			t.Fatalf("%s: batch accepted", c.name)
+		}
+		if after := lg.Stats(); after != before {
+			t.Fatalf("%s: failed batch changed stats: %+v -> %+v", c.name, before, after)
+		}
+	}
+	// The writer's degree order survived the aborts intact.
+	s, _, err := lg.Apply([]EdgeOp{{Op: OpSet, U: 0, V: 1, W: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Epoch() != 2 {
+		t.Fatalf("epoch = %d after aborted batches and one valid one, want 2", s.Epoch())
+	}
+	checkDegreeIndex(t, lg, s)
+}
+
+// checkDegreeIndex asserts that s's published TopDegrees prefix equals both
+// graph.TopDegreeIndex over its degrees and a from-scratch rebuild's index,
+// entry for entry, and that the writer's full order is the canonical sort.
+// s must be lg's current snapshot and the caller its only writer.
+func checkDegreeIndex(t *testing.T, lg *LiveGraph, s *Snapshot) {
+	t.Helper()
+	n := s.NumNodes()
+	got := s.TopDegrees(n)
+	want := graph.TopDegreeIndex(s.degs)
+	m, err := s.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := m.TopDegrees(n)
+	if len(got) != len(want) || len(got) != len(rebuilt) {
+		t.Fatalf("epoch %d: prefix lengths %d, %d (TopDegreeIndex), %d (rebuild)", s.Epoch(), len(got), len(want), len(rebuilt))
+	}
+	for i := range got {
+		if got[i] != want[i] || got[i] != rebuilt[i] {
+			t.Fatalf("epoch %d: entry %d is %+v, TopDegreeIndex %+v, rebuild %+v", s.Epoch(), i, got[i], want[i], rebuilt[i])
+		}
+	}
+	lg.wmu.Lock()
+	defer lg.wmu.Unlock()
+	if lg.order == nil {
+		return
+	}
+	full := graph.DegreeOrder(s.degs)
+	for i := range full {
+		if lg.order[i] != full[i] {
+			t.Fatalf("epoch %d: writer order entry %d is %+v, want %+v", s.Epoch(), i, lg.order[i], full[i])
+		}
+	}
+}
+
+// randomBatch draws 1-8 valid ops against s: adds, removes and sets, with
+// weights either 1 (keeping degrees tied) or tiny (0.001-0.01, breaking ties
+// by a hair). No two ops of a batch share an edge, so every op is valid.
+func randomBatch(rng *rand.Rand, s *Snapshot) []EdgeOp {
+	n := s.NumNodes()
+	weight := func() float64 {
+		if rng.Intn(2) == 0 {
+			return 1
+		}
+		return 0.001 + 0.009*rng.Float64()
+	}
+	used := make(map[[2]graph.NodeID]bool)
+	var ops []EdgeOp
+	for len(ops) < 1+rng.Intn(8) {
+		u := graph.NodeID(rng.Intn(n))
+		nbrs, _ := s.Neighbors(u)
+		var op EdgeOp
+		switch r := rng.Intn(3); {
+		case r == 0 || len(nbrs) == 0:
+			v := graph.NodeID(rng.Intn(n))
+			op = EdgeOp{Op: OpSet, U: u, V: v, W: weight()}
+			if i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v }); i == len(nbrs) || nbrs[i] != v {
+				op.Op = OpAdd
+			}
+		case r == 1:
+			op = EdgeOp{Op: OpRemove, U: u, V: nbrs[rng.Intn(len(nbrs))]}
+		default:
+			op = EdgeOp{Op: OpSet, U: u, V: nbrs[rng.Intn(len(nbrs))], W: weight()}
+		}
+		key := [2]graph.NodeID{min(op.U, op.V), max(op.U, op.V)}
+		if op.U == op.V || used[key] {
+			continue
+		}
+		used[key] = true
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// TestDegreeIndexDifferential drives random batches over a graph larger than
+// the 4096-entry prefix, with unit weights that tie most degrees, so nodes
+// keep entering and leaving the prefix. After every batch the published
+// prefix must match a full re-sort and a rebuild, while a concurrent reader
+// checks every pinned prefix against its own snapshot's degrees.
+func TestDegreeIndexDifferential(t *testing.T) {
+	base, err := gen.Erdos(5000, 10000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := base.NumNodes()
+	lg := New(base)
+	batches := 200
+	if testing.Short() {
+		batches = 80
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := lg.Acquire()
+			top := s.TopDegrees(n)
+			for i, e := range top {
+				if e.Degree != s.Degree(e.Node) || (i > 0 && !graph.DegreeBefore(top[i-1], e)) {
+					t.Errorf("epoch %d: prefix entry %d %+v inconsistent with the snapshot", s.Epoch(), i, e)
+					s.Release()
+					return
+				}
+			}
+			s.Release()
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	rng := rand.New(rand.NewSource(1))
+	crossings := 0
+	prev := lg.Acquire()
+	defer func() { prev.Release() }()
+	for b := 0; b < batches; b++ {
+		s, _, err := lg.Apply(randomBatch(rng, prev))
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		checkDegreeIndex(t, lg, s)
+		inPrefix := make(map[graph.NodeID]bool, len(s.top))
+		for _, e := range s.top {
+			inPrefix[e.Node] = true
+		}
+		for _, e := range prev.top {
+			if !inPrefix[e.Node] {
+				crossings++
+			}
+		}
+		s.retain()
+		prev.Release()
+		prev = s
+	}
+	if crossings == 0 {
+		t.Fatal("no node ever left the prefix; the test does not cover the boundary")
+	}
+}
+
+func TestTopPrefixSharedUntilMoved(t *testing.T) {
+	// On a 5000-node path, nodes 1..4096 (degree 2) fill the prefix.
+	lg := New(gen.Path(5000))
+	s1 := lg.Acquire()
+	defer s1.Release()
+	want1 := append([]graph.DegreeEntry(nil), s1.TopDegrees(5000)...)
+
+	// Lowering two degrees far below the prefix leaves it unchanged: shared.
+	s2, _, err := lg.Apply([]EdgeOp{{Op: OpSet, U: 4500, V: 4501, W: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDegreeIndex(t, lg, s2)
+	if &s2.top[0] != &s1.top[0] {
+		t.Fatal("prefix copied although no touched node was in it or entered it")
+	}
+
+	// Lowering prefix nodes 10 and 11 pushes them out and pulls 4097, 4098 in.
+	s3, _, err := lg.Apply([]EdgeOp{{Op: OpSet, U: 10, V: 11, W: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDegreeIndex(t, lg, s3)
+	if &s3.top[0] == &s2.top[0] {
+		t.Fatal("prefix shared although touched nodes left it")
+	}
+	if last := s3.top[len(s3.top)-1].Node; last != 4098 {
+		t.Fatalf("last prefix node %d, want 4098", last)
+	}
+	// Published prefixes never change under later batches.
+	for i, e := range s1.TopDegrees(5000) {
+		if e != want1[i] {
+			t.Fatalf("epoch 1 prefix entry %d changed to %+v, want %+v", i, e, want1[i])
+		}
+	}
+}
+
+func TestTopDegreesAfterApplyAllocatesNothing(t *testing.T) {
+	const runs = 10
+	lg := New(gen.Path(5000))
+	// One fresh snapshot per call (plus AllocsPerRun's warm-up), so every
+	// call is the first on its snapshot.
+	snaps := make([]*Snapshot, runs+1)
+	for i := range snaps {
+		s, _, err := lg.Apply([]EdgeOp{{Op: OpSet, U: 1, V: 2, W: float64(i + 2)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.retain()
+		defer s.Release()
+		snaps[i] = s
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		_ = snaps[next].TopDegrees(4096)
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("TopDegrees on a fresh snapshot allocated %v times, want 0", allocs)
 	}
 }

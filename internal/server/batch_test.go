@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+
+	"flos/internal/gen"
+	"flos/internal/livegraph"
 )
 
 func postJSON(t *testing.T, url, body string, out interface{}) int {
@@ -137,5 +143,31 @@ func TestTopKBatchBadRequests(t *testing.T) {
 	}
 	if allow := resp.Header.Get("Allow"); allow != http.MethodPost {
 		t.Fatalf("Allow = %q, want POST", allow)
+	}
+}
+
+// TestGraphEdgesRejectsDegreeOverflow covers the one non-finite input JSON can
+// carry: two finite weights whose sum overflows a node's degree. The batch is
+// rejected 400 and publishes nothing.
+func TestGraphEdgesRejectsDegreeOverflow(t *testing.T) {
+	g, err := gen.Community(2000, 5400, gen.DefaultCommunityParams(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(livegraph.New(g), Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	overflow := `{"ops":[{"op":"set","u":0,"v":1,"w":1.7e308},{"op":"set","u":0,"v":2,"w":1.7e308}]}`
+	if code := postJSON(t, ts.URL+"/v1/graph/edges", overflow, nil); code != http.StatusBadRequest {
+		t.Fatalf("overflowing batch: code %d, want 400", code)
+	}
+	var body graphEdgesBody
+	if code := postJSON(t, ts.URL+"/v1/graph/edges", `{"ops":[{"op":"set","u":0,"v":1,"w":2}]}`, &body); code != http.StatusOK {
+		t.Fatalf("valid batch: code %d", code)
+	}
+	if body.Epoch != 2 {
+		t.Fatalf("epoch %d after a rejected and a valid batch, want 2", body.Epoch)
 	}
 }

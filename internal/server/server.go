@@ -1312,8 +1312,9 @@ type graphEdgesBody struct {
 // graph. The batch publishes a new snapshot and surgically invalidates the
 // result cache; in-flight queries keep running against their pinned
 // snapshots. Not-live servers answer 409; an invalid batch (bad op name,
-// out-of-range node, non-positive weight, add of an existing edge, remove of
-// a missing one) is rejected 400 with nothing applied.
+// out-of-range node, a weight that is not positive and finite, a degree that
+// overflows, add of an existing edge, remove of a missing one) is rejected
+// 400 with nothing applied.
 func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
